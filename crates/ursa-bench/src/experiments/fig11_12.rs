@@ -134,9 +134,10 @@ fn run_cell(
 
 /// Runs the full grid over all four applications.
 ///
-/// Phase 1 trains every app's managers in parallel; phase 2 flattens the
-/// whole grid (app × load × system) into one cell list and fans it across
-/// the workers, so a wide machine saturates even within a single app.
+/// Phase 1 trains every app's managers as one flat list of (app, manager)
+/// cells, Firm first; phase 2 flattens the whole grid (app × load ×
+/// system) into one cell list and fans it across the workers, so a wide
+/// machine saturates even within a single app.
 pub fn run(scale: Scale) -> Vec<Cell> {
     println!("== Figures 11 & 12: SLA violations and CPU allocation ==");
     let apps = all_apps();
@@ -145,10 +146,12 @@ pub fn run(scale: Scale) -> Vec<Cell> {
         apps.len(),
         crate::runner::jobs()
     );
-    let managers: Vec<PreparedManagers> =
-        crate::runner::run_cells((0..apps.len()).collect(), |_, ai| {
-            PreparedManagers::prepare(&apps[ai], scale, 0x11_12 + ai as u64)
-        });
+    let seeds: Vec<(&App, u64)> = apps
+        .iter()
+        .enumerate()
+        .map(|(ai, app)| (app, 0x11_12 + ai as u64))
+        .collect();
+    let managers = PreparedManagers::prepare_each(&seeds, scale);
     let metrics_dir = crate::logging::metrics_dir();
     let mut inputs: Vec<(usize, usize, LoadSpec, usize)> = Vec::new();
     for (ai, app) in apps.iter().enumerate() {

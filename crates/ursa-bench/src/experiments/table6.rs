@@ -24,12 +24,9 @@
 //! work counts* per system (exactly reproducible, diffed by a test), and
 //! the measured milliseconds go to `table6_wall.tsv`, which is gitignored.
 
-use crate::{
-    default_rates, prepare_firm, prepare_sinan, prepare_ursa, results_dir, Scale, TsvTable,
-};
+use crate::{default_rates, results_dir, train_parts, Scale, Trained, TsvTable};
 use ursa_apps::{social_network, App};
-use ursa_baselines::{Autoscaler, Dataset, Firm, Sinan};
-use ursa_core::manager::Ursa;
+use ursa_baselines::{Autoscaler, Dataset, Sinan};
 use ursa_sim::control::ResourceManager;
 use ursa_sim::time::SimDur;
 use ursa_sim::workload::RateFn;
@@ -89,13 +86,6 @@ pub fn ops_table(app: &App, sinan: &Sinan, dataset: &Dataset) -> TsvTable {
     table
 }
 
-/// The trained managers (phase 1, parallel).
-enum Prepared {
-    Ursa(Box<Ursa>),
-    Sinan(Box<Sinan>, Dataset),
-    Firm(Box<Firm>),
-}
-
 /// Runs the measurement on the social network.
 pub fn run(scale: Scale) -> Vec<ControlPlaneLatency> {
     println!("== Table VI: control plane latency (ms) ==");
@@ -113,31 +103,24 @@ pub fn run(scale: Scale) -> Vec<ControlPlaneLatency> {
         Scale::Full => 100,
     };
 
-    // Phase 1: train the three learned managers in parallel (independent
-    // cells). Phase 2 below stays sequential — interleaving wall-clock
-    // timing runs across threads would contaminate the measurements.
-    let mut prepared = crate::runner::run_cells(vec![0u8, 1, 2], |_, which| match which {
-        0 => Prepared::Ursa(Box::new(prepare_ursa(&app, scale, 0x0007_AB60))),
-        1 => {
-            let (sinan, dataset) = prepare_sinan(&app, scale, 0x0007_AB61);
-            Prepared::Sinan(Box::new(sinan), dataset)
-        }
-        _ => Prepared::Firm(Box::new(prepare_firm(&app, scale, 0x0007_AB62))),
-    })
-    .into_iter();
-    let (
-        Some(Prepared::Ursa(mut ursa)),
-        Some(Prepared::Sinan(mut sinan, dataset)),
-        Some(Prepared::Firm(mut firm)),
-    ) = (prepared.next(), prepared.next(), prepared.next())
-    else {
-        unreachable!("cells return in input order");
-    };
+    // Phase 1: train the three learned managers as independent cells
+    // through the shared `train_parts` helper (the path
+    // `PreparedManagers::prepare` takes, with this table's seeds). Phase 2
+    // below stays sequential — interleaving wall-clock timing runs across
+    // threads would contaminate the measurements.
+    let Trained {
+        mut ursa,
+        mut sinan,
+        dataset,
+        mut firm,
+    } = train_parts(&[(&app, [0x0007_AB60, 0x0007_AB61, 0x0007_AB62])], scale)
+        .pop()
+        .expect("one app in, one out");
 
     let mut rows = Vec::new();
 
     // Ursa.
-    let deploy = time_ticks(ursa.as_mut(), &snapshot, &mut sim, iters);
+    let deploy = time_ticks(&mut ursa, &snapshot, &mut sim, iters);
     let t0 = std::time::Instant::now();
     ursa.recalculate(&rates).expect("recalc");
     let update = t0.elapsed().as_nanos() as f64 / 1e6;
@@ -148,7 +131,7 @@ pub fn run(scale: Scale) -> Vec<ControlPlaneLatency> {
     });
 
     // Sinan: deploy = model sweep; update = full retraining.
-    let deploy = time_ticks(sinan.as_mut(), &snapshot, &mut sim, iters);
+    let deploy = time_ticks(&mut sinan, &snapshot, &mut sim, iters);
     let t0 = std::time::Instant::now();
     let retrained = Sinan::train(&dataset, &app.slas, SINAN_RETRAIN_EPOCHS, 99);
     let update = t0.elapsed().as_nanos() as f64 / 1e6;
@@ -162,7 +145,7 @@ pub fn run(scale: Scale) -> Vec<ControlPlaneLatency> {
     // Firm: deploy = greedy inference; update = one training iteration
     // (the paper reports per-iteration cost and notes full adaptation
     // needs thousands of iterations).
-    let deploy = time_ticks(firm.as_mut(), &snapshot, &mut sim, iters);
+    let deploy = time_ticks(&mut firm, &snapshot, &mut sim, iters);
     firm.training = true;
     let t0 = std::time::Instant::now();
     for _ in 0..FIRM_TRAIN_ITERS {
@@ -250,7 +233,7 @@ mod tests {
     #[test]
     fn committed_table6_artifact_is_reproducible() {
         let app = social_network(false);
-        let (sinan, dataset) = prepare_sinan(&app, Scale::Quick, 0x0007_AB61);
+        let (sinan, dataset) = crate::prepare_sinan(&app, Scale::Quick, 0x0007_AB61);
         let regenerated = ops_table(&app, &sinan, &dataset).to_tsv();
         let path = results_dir().join("table6").join("table6.tsv");
         let committed = std::fs::read_to_string(&path)

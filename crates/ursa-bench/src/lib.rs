@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use ursa_apps::App;
 use ursa_baselines::{
-    collect_and_train, train_firm, Autoscaler, CollectConfig, Firm, FirmConfig, Sinan,
+    collect_and_train, train_firm, Autoscaler, CollectConfig, Dataset, Firm, FirmConfig, Sinan,
 };
 use ursa_core::exploration::ExplorationConfig;
 use ursa_core::manager::{Ursa, UrsaConfig};
@@ -251,7 +251,7 @@ pub fn prepare_ursa(app: &App, scale: Scale, seed: u64) -> Ursa {
 }
 
 /// Runs Sinan's data collection + training for an app.
-pub fn prepare_sinan(app: &App, scale: Scale, seed: u64) -> (Sinan, ursa_baselines::Dataset) {
+pub fn prepare_sinan(app: &App, scale: Scale, seed: u64) -> (Sinan, Dataset) {
     let seed = mix_seed(seed);
     let mut sim = app.build_sim(seed ^ 0x51A4);
     app.apply_load(&mut sim, RateFn::Constant(app.default_rps));
@@ -294,6 +294,68 @@ pub fn prepare_firm(app: &App, scale: Scale, seed: u64) -> Firm {
     );
     firm.training = false;
     firm
+}
+
+/// One app's three learned managers, as [`train_parts`] returns them.
+pub(crate) struct Trained {
+    pub(crate) ursa: Ursa,
+    pub(crate) sinan: Sinan,
+    /// The dataset Sinan was trained on.
+    pub(crate) dataset: Dataset,
+    pub(crate) firm: Firm,
+}
+
+/// One cell of [`train_parts`]. Boxed: the managers differ widely in size.
+enum Part {
+    Ursa(Box<Ursa>),
+    Sinan(Box<Sinan>, Dataset),
+    Firm(Box<Firm>),
+}
+
+/// Trains Ursa, Sinan and Firm for every `(app, [ursa_seed, sinan_seed,
+/// firm_seed])` as independent cells on the runner and returns them in
+/// input order.
+///
+/// Each part builds its own seeded simulation from its own seed, so the
+/// result is the same on any number of workers. Cells are handed out
+/// longest first: every Firm (hundreds of sequential training windows),
+/// then every Sinan, then every Ursa, so preparing one app costs about
+/// Firm's time on two or more workers. With `--jobs 1` the parts run in
+/// that order on the calling thread.
+pub(crate) fn train_parts(apps: &[(&App, [u64; 3])], scale: Scale) -> Vec<Trained> {
+    let n = apps.len();
+    // (part, app) cells, `part` indexing the seed triple: Firm (2) first.
+    let cells: Vec<(usize, usize)> = [2, 1, 0]
+        .into_iter()
+        .flat_map(|part| (0..n).map(move |ai| (part, ai)))
+        .collect();
+    let mut parts = runner::run_cells(cells, |_, (part, ai)| {
+        let (app, seeds) = apps[ai];
+        match part {
+            0 => Part::Ursa(Box::new(prepare_ursa(app, scale, seeds[0]))),
+            1 => {
+                let (sinan, dataset) = prepare_sinan(app, scale, seeds[1]);
+                Part::Sinan(Box::new(sinan), dataset)
+            }
+            _ => Part::Firm(Box::new(prepare_firm(app, scale, seeds[2]))),
+        }
+    });
+    let ursas = parts.split_off(2 * n);
+    let sinans = parts.split_off(n);
+    parts
+        .into_iter()
+        .zip(sinans)
+        .zip(ursas)
+        .map(|((firm, sinan), ursa)| match (ursa, sinan, firm) {
+            (Part::Ursa(ursa), Part::Sinan(sinan, dataset), Part::Firm(firm)) => Trained {
+                ursa: *ursa,
+                sinan: *sinan,
+                dataset,
+                firm: *firm,
+            },
+            _ => unreachable!("cells return in input order"),
+        })
+        .collect()
 }
 
 /// The five competing systems of §VII-B.
@@ -351,16 +413,30 @@ pub struct PreparedManagers {
 
 impl PreparedManagers {
     /// Prepares every system for an app (the expensive, once-per-app step).
+    /// The three managers train concurrently on the cell runner.
     pub fn prepare(app: &App, scale: Scale, seed: u64) -> Self {
-        let ursa = prepare_ursa(app, scale, seed);
-        let (sinan, _) = prepare_sinan(app, scale, seed ^ 0xAA);
-        let firm = prepare_firm(app, scale, seed ^ 0xBB);
-        PreparedManagers {
-            ursa,
-            sinan,
-            firm,
-            num_services: app.topology.num_services(),
-        }
+        Self::prepare_each(&[(app, seed)], scale)
+            .pop()
+            .expect("one app in, one out")
+    }
+
+    /// [`prepare`](Self::prepare) for several `(app, seed)` pairs, with
+    /// every app's parts in one flat list on the runner.
+    pub(crate) fn prepare_each(apps: &[(&App, u64)], scale: Scale) -> Vec<Self> {
+        let specs: Vec<(&App, [u64; 3])> = apps
+            .iter()
+            .map(|&(app, seed)| (app, [seed, seed ^ 0xAA, seed ^ 0xBB]))
+            .collect();
+        train_parts(&specs, scale)
+            .into_iter()
+            .zip(apps)
+            .map(|(t, (app, _))| PreparedManagers {
+                ursa: t.ursa,
+                sinan: t.sinan,
+                firm: t.firm,
+                num_services: app.topology.num_services(),
+            })
+            .collect()
     }
 
     /// Deploys `system` on `app` under `load`, returning the report.

@@ -1,14 +1,18 @@
 //! Property: the parallel cell runner is jobs-invariant. `--jobs 1` and
 //! `--jobs 8` must produce byte-identical experiment output — the TSV-style
 //! renders and metrics-snapshot digests that every artifact is built from —
-//! across random topologies and loads, and across the real fig11/12 cell
-//! path.
+//! across random topologies and loads, across the real fig11/12 cell path,
+//! and across the manager preparation in front of it.
 
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use ursa_apps::chains::study_chain_with;
-use ursa_bench::runner::run_cells_with;
+use ursa_apps::App;
+use ursa_bench::experiments::fig11_12::cell_inputs;
+use ursa_bench::runner::{run_cells_with, set_jobs};
+use ursa_bench::{results_dir, PreparedManagers, Scale, System};
 use ursa_sim::engine::{SimConfig, Simulation};
 use ursa_sim::time::SimDur;
 use ursa_sim::topology::{ClassId, EdgeKind};
@@ -89,38 +93,98 @@ proptest! {
     }
 }
 
-/// The real fig11/12 cell path is jobs-invariant: a slice of the grid on
-/// the vanilla social network (two load families × all five systems, for
-/// suite-runtime reasons) renders to the same TSV rows under 1 and 8
-/// workers.
+/// Fig. 11/12's preparation seed for the vanilla social network (app 1).
+const VANILLA_PREPARE_SEED: u64 = 0x11_12 + 1;
+/// Fig. 11/12's cell seed for the same app.
+const VANILLA_CELL_SEED: u64 = 0xDE_9107 + 1;
+
+/// The vanilla social network's managers, prepared under `--jobs 1` and
+/// `--jobs 2` with fig11/12's seeds. Built once, in one place, because
+/// the jobs setting is process-global.
+fn prepared() -> &'static (App, [PreparedManagers; 2]) {
+    static PREPARED: OnceLock<(App, [PreparedManagers; 2])> = OnceLock::new();
+    PREPARED.get_or_init(|| {
+        let app = ursa_apps::social_network(true);
+        let under = |jobs: usize| {
+            set_jobs(jobs);
+            let m = PreparedManagers::prepare(&app, Scale::Quick, VANILLA_PREPARE_SEED);
+            set_jobs(0);
+            m
+        };
+        let managers = [under(1), under(2)];
+        (app, managers)
+    })
+}
+
+/// The grid slice's load families: two of five, for suite-runtime reasons.
+fn in_slice(li: usize) -> bool {
+    li == 0 || li == 3
+}
+
+/// A slice of the fig11/12 grid (the slice's loads × all five systems)
+/// rendered as the committed table's rows without the app column, on
+/// `jobs` workers.
+fn grid_slice(app: &App, managers: &PreparedManagers, jobs: usize) -> Vec<String> {
+    let inputs: Vec<_> = cell_inputs(app)
+        .into_iter()
+        .filter(|(li, _, _)| in_slice(*li))
+        .collect();
+    run_cells_with(jobs, inputs, |_, (li, load, si)| {
+        let report = managers.deploy_cell(
+            app,
+            System::ALL[si],
+            &load,
+            Scale::Quick,
+            VANILLA_CELL_SEED ^ ((li as u64) << 8) ^ si as u64,
+            None,
+        );
+        format!(
+            "{}\t{}\t{:.4}\t{:.1}",
+            load.label(),
+            System::ALL[si].label(),
+            report.overall_violation_rate(),
+            report.avg_cpu_allocation()
+        )
+    })
+}
+
+/// The real fig11/12 path is jobs-invariant end to end: managers prepared
+/// and cells run on one worker render the same grid-slice rows as
+/// managers prepared on two workers and cells run on eight.
 #[test]
 fn fig11_12_grid_jobs_invariant() {
-    use ursa_bench::experiments::fig11_12::cell_inputs;
-    use ursa_bench::{PreparedManagers, Scale, System};
-    let app = ursa_apps::social_network(true);
-    let managers = PreparedManagers::prepare(&app, Scale::Quick, 0xCAFE);
-    let inputs: Vec<_> = cell_inputs(&app)
-        .into_iter()
-        .filter(|(li, _, _)| *li == 0 || *li == 3)
+    let (app, [seq, par]) = prepared();
+    assert_eq!(grid_slice(app, seq, 1), grid_slice(app, par, 8));
+}
+
+/// Manager preparation is jobs-invariant and keeps each part on its own
+/// seed: Ursa, Sinan and Firm trained as cells under `--jobs 1` and
+/// `--jobs 2` consumed the same samples, and the `--jobs 2` managers
+/// reproduce the committed `fig11_12.tsv` rows (a seed swap between two
+/// parts is jobs-invariant, so only the committed rows catch it).
+/// Wall-clock fields (Ursa's recalculation time, Sinan's training time)
+/// differ between runs, so the managers are compared through what they
+/// decide and what they consumed, never through their `Debug` renders.
+#[test]
+fn prepare_jobs_invariant() {
+    let (app, [seq, par]) = prepared();
+    assert_eq!(
+        seq.ursa.offline_stats().exploration_samples,
+        par.ursa.offline_stats().exploration_samples
+    );
+    assert_eq!(seq.firm.samples_consumed(), par.firm.samples_consumed());
+
+    let path = results_dir().join("fig11_12").join("fig11_12.tsv");
+    let committed =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let prefix = format!("{}\t", app.name);
+    // The committed rows are in `cell_inputs` order.
+    let committed: Vec<&str> = committed
+        .lines()
+        .filter_map(|l| l.strip_prefix(prefix.as_str()))
+        .zip(cell_inputs(app))
+        .filter(|(_, (li, _, _))| in_slice(*li))
+        .map(|(row, _)| row)
         .collect();
-    let grid = |jobs: usize| -> Vec<String> {
-        run_cells_with(jobs, inputs.clone(), |_, (li, load, si)| {
-            let report = managers.deploy_cell(
-                &app,
-                System::ALL[si],
-                &load,
-                Scale::Quick,
-                0xDE_9107 ^ ((li as u64) << 8) ^ si as u64,
-                None,
-            );
-            format!(
-                "{}\t{}\t{:.4}\t{:.1}",
-                load.label(),
-                System::ALL[si].label(),
-                report.overall_violation_rate(),
-                report.avg_cpu_allocation()
-            )
-        })
-    };
-    assert_eq!(grid(1), grid(8));
+    assert_eq!(grid_slice(app, par, 2), committed);
 }
