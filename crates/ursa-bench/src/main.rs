@@ -5,12 +5,11 @@
 //! cargo run --release -p ursa-bench -- --exp fig2|fig4|table5|fig9|fig11|fig13|table6|fig14
 //! cargo run --release -p ursa-bench -- --exp chaos [--seed N]
 //! cargo run --release -p ursa-bench -- --exp qos [--seed N]
-//! cargo run --release -p ursa-bench -- --exp scale [--shards N|max] [--scale K]
 //! cargo run --release -p ursa-bench -- --exp fig2 --trace-dir traces/
 //! cargo run --release -p ursa-bench -- --exp fig9 --metrics-dir metrics/
 //! cargo run --release -p ursa-bench -- --exp chaos --postmortem-dir results/postmortem
 //! cargo run --release -p ursa-bench -- perf [--out BENCH_sim.json] [--check baseline.json] \
-//!     [--tolerance 0.35] [--shards 8|max]
+//!     [--tolerance 0.35]
 //! cargo run --release -p ursa-bench -- diff results/bench/run_baseline.json \
 //!     results/bench/run.json [--out results/diff] [--history results/bench/history.jsonl]
 //! ```
@@ -60,23 +59,6 @@ fn main() {
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage());
                 ursa_bench::set_seed(n);
-            }
-            "--shards" => {
-                i += 1;
-                let n = args
-                    .get(i)
-                    .and_then(|s| parse_shards(s))
-                    .unwrap_or_else(|| usage());
-                ursa_bench::set_shards(n);
-            }
-            "--scale" => {
-                i += 1;
-                let k: usize = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&k| k >= 1)
-                    .unwrap_or_else(|| usage());
-                ursa_bench::set_scale_factor(k);
             }
             "--trace-dir" => {
                 i += 1;
@@ -151,9 +133,6 @@ fn main() {
         "qos" => {
             experiments::qos::run(scale);
         }
-        "scale" => {
-            experiments::scale::run(scale);
-        }
         other => {
             warn!("unknown experiment: {other}");
             usage();
@@ -196,21 +175,11 @@ fn resolve_tolerance(flag: Option<f64>) -> f64 {
     .unwrap_or(perf::REGRESSION_TOLERANCE)
 }
 
-/// Parses a `--shards` operand: a positive count, or `max` for every
-/// core the host exposes.
-fn parse_shards(s: &str) -> Option<usize> {
-    if s == "max" {
-        return Some(std::thread::available_parallelism().map_or(1, |n| n.get()));
-    }
-    s.parse().ok().filter(|&n| n >= 1)
-}
-
-/// `ursa-bench perf [--out PATH] [--check BASELINE] [--tolerance T] [--jobs N] [--shards N|max]`
+/// `ursa-bench perf [--out PATH] [--check BASELINE] [--tolerance T] [--jobs N]`
 fn perf_main(args: &[String]) -> i32 {
     let mut out = PathBuf::from("BENCH_sim.json");
     let mut check: Option<PathBuf> = None;
     let mut tolerance: Option<f64> = None;
-    let mut shards = perf::DEFAULT_BIG_SHARDS;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -242,13 +211,6 @@ fn perf_main(args: &[String]) -> i32 {
                     .unwrap_or_else(|| usage());
                 runner::set_jobs(n.max(1));
             }
-            "--shards" => {
-                i += 1;
-                shards = args
-                    .get(i)
-                    .and_then(|s| parse_shards(s))
-                    .unwrap_or_else(|| usage());
-            }
             other => {
                 warn!("unknown perf argument: {other}");
                 usage();
@@ -256,7 +218,7 @@ fn perf_main(args: &[String]) -> i32 {
         }
         i += 1;
     }
-    perf::run(&out, check.as_deref(), resolve_tolerance(tolerance), shards)
+    perf::run(&out, check.as_deref(), resolve_tolerance(tolerance))
 }
 
 /// `ursa-bench diff RUN_A RUN_B [--out DIR] [--tolerance T] [--history PATH]`
@@ -306,11 +268,11 @@ fn diff_main(args: &[String]) -> i32 {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: ursa-bench [--exp all|fig2|fig4|table5|fig9|fig11|fig13|table6|fig14|ablation|chaos|qos|scale] \
-         [--quick|--full] [--jobs N] [--seed N] [--shards N|max] [--scale K] [--quiet|--verbose] \
-         [--trace-dir DIR] [--metrics-dir DIR] [--postmortem-dir DIR] [--snapshot-at SECS]\n\
+        "usage: ursa-bench [--exp all|fig2|fig4|table5|fig9|fig11|fig13|table6|fig14|ablation|chaos|qos] \
+         [--quick|--full] [--jobs N] [--seed N] [--quiet|--verbose] [--trace-dir DIR] \
+         [--metrics-dir DIR] [--postmortem-dir DIR] [--snapshot-at SECS]\n\
          \x20      ursa-bench perf [--out BENCH_sim.json] [--check baseline.json] \
-         [--tolerance T] [--jobs N] [--shards N|max]\n\
+         [--tolerance T] [--jobs N]\n\
          \x20      ursa-bench diff RUN_A.json RUN_B.json [--out DIR] [--tolerance T] \
          [--history history.jsonl]"
     );

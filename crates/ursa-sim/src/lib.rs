@@ -48,7 +48,6 @@ pub mod metrics;
 pub mod profiler;
 pub mod ps;
 pub mod recorder;
-pub mod shard;
 pub mod telemetry;
 pub mod time;
 pub mod topology;
@@ -69,7 +68,6 @@ pub mod prelude {
     pub use crate::metrics::SimMetrics;
     pub use crate::profiler::{PhaseProfiler, PhaseStat, ProfilerReport, SimPhase};
     pub use crate::recorder::{FlightEntry, FlightEventKind, FlightRecorder};
-    pub use crate::shard::{ShardPlan, ShardReport, ShardedSimulation};
     pub use crate::telemetry::{LatencySeries, MetricsSnapshot, ServiceMetrics};
     pub use crate::time::{SimDur, SimTime};
     pub use crate::topology::{
